@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"github.com/shc-go/shc"
+	"github.com/shc-go/shc/internal/datasource"
 )
 
 const sensorsCatalog = `{
@@ -71,9 +72,9 @@ func main() {
 			log.Fatal(err)
 		}
 		sess, err := shc.NewSession(shc.SessionConfig{Hosts: cluster.Hosts(), Meter: cluster.Meter})
-	if err != nil {
-		log.Fatal(err)
-	}
+		if err != nil {
+			log.Fatal(err)
+		}
 		sess.Register(rel)
 		df, err := sess.SQL("SELECT id, temp, status FROM sensors WHERE id <= 'sensor-2' ORDER BY id")
 		if err != nil {
@@ -106,11 +107,13 @@ func main() {
 	}
 	versions := 0
 	for _, p := range parts {
-		rows, err := p.Compute(context.Background())
+		err := datasource.StreamPartition(context.Background(), p, datasource.BatchOptions{}, func(rows []shc.Row) error {
+			versions += len(rows)
+			return nil
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		versions += len(rows)
 	}
 	fmt.Printf("\nMAX_VERSIONS=3 raw scan surfaces the newest version per row (%d rows); ", versions)
 	fmt.Println("older versions remain addressable through TIMESTAMP reads as above.")

@@ -16,7 +16,7 @@ import (
 
 // VectorRow is one measurement of the vectorized-vs-row comparison.
 type VectorRow struct {
-	Section    string  // "kernel" (exec layer, columnar source) or "e2e" (full rig)
+	Section    string // "kernel" (exec layer, columnar source) or "e2e" (full rig)
 	Query      string
 	Mode       string  // "vectorized" or "row"
 	Rows       int64   // input rows processed per run
@@ -211,7 +211,7 @@ func kernelSamples(lp func() plan.LogicalPlan, cfg exec.CompileConfig, n int) ([
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := phys.Execute(ctx); err != nil {
+		if _, err := exec.Run(ctx, phys); err != nil {
 			return nil, err
 		}
 		times = append(times, time.Since(start))
@@ -306,66 +306,8 @@ func (s *colScan) Index() int { return s.part.index }
 // PreferredHost implements datasource.Partition.
 func (s *colScan) PreferredHost() string { return "" }
 
-func (s *colScan) cell(col, i int) any {
-	switch col {
-	case 0:
-		return s.part.k[i]
-	case 1:
-		return s.part.q[i]
-	default:
-		return s.part.price[i]
-	}
-}
-
-// Compute implements datasource.Partition: the fully boxed row form.
-func (s *colScan) Compute(context.Context) ([]plan.Row, error) {
-	rows := make([]plan.Row, len(s.part.k))
-	for i := range rows {
-		row := make(plan.Row, len(s.cols))
-		for j, c := range s.cols {
-			row[j] = s.cell(c, i)
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
-// ComputeBatches implements datasource.BatchScan: boxed rows in bounded
-// batches — what the row pipeline consumes.
-func (s *colScan) ComputeBatches(_ context.Context, opts datasource.BatchOptions, yield func([]plan.Row) error) error {
-	size := opts.BatchSize
-	if size <= 0 {
-		size = 1024
-	}
-	n := len(s.part.k)
-	if opts.LimitHint > 0 && opts.LimitHint < n {
-		n = opts.LimitHint
-	}
-	batch := make([]plan.Row, 0, size)
-	for at := 0; at < n; at += size {
-		end := at + size
-		if end > n {
-			end = n
-		}
-		batch = batch[:0]
-		for i := at; i < end; i++ {
-			row := make(plan.Row, len(s.cols))
-			for j, c := range s.cols {
-				row[j] = s.cell(c, i)
-			}
-			batch = append(batch, row)
-		}
-		if err := yield(batch); err != nil {
-			if errors.Is(err, datasource.ErrStopBatches) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// ComputeVectors implements datasource.VectorScan: typed appends, no boxing.
+// ComputeVectors implements datasource.Partition: typed appends, no boxing.
+// The row pipeline boxes these batches through datasource.StreamPartition.
 func (s *colScan) ComputeVectors(_ context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	size := opts.BatchSize
 	if size <= 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -144,9 +145,10 @@ func (p *baselinePartition) Index() int { return p.index }
 // surface region locations, so tasks land anywhere.
 func (p *baselinePartition) PreferredHost() string { return "" }
 
-// Compute implements datasource.Partition: full region scan, all columns,
-// then decode everything and project.
-func (p *baselinePartition) Compute(ctx context.Context) ([]plan.Row, error) {
+// ComputeVectors implements datasource.Partition: one unpaged full region
+// scan, all columns, then decode everything and project — the generic read
+// shape — emitted as bounded column batches.
+func (p *baselinePartition) ComputeVectors(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	ctx = bridgeConsistency(ctx)
 	scan := &hbase.Scan{
 		MaxVersions: p.rel.opts.maxVersions(),
@@ -154,24 +156,47 @@ func (p *baselinePartition) Compute(ctx context.Context) ([]plan.Row, error) {
 	}
 	results, err := p.rel.client.ScanRegionContext(ctx, p.region, scan)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if opts.LimitHint > 0 && len(results) > opts.LimitHint {
+		results = results[:opts.LimitHint]
+	}
+	batchSize := opts.BatchSize
+	if batchSize <= 0 {
+		batchSize = defaultFusedBatch
 	}
 	schema := p.rel.cat.Schema()
-	rows := make([]plan.Row, 0, len(results))
+	proj := make(plan.Schema, len(p.required))
+	for j, col := range p.required {
+		proj[j] = schema[schema.IndexOf(col)]
+	}
+	batch := plan.NewBatch(proj)
+	out := make(plan.Row, len(p.required))
 	for i := range results {
 		// Decode the FULL row first (the HadoopRDD has no schema to prune
 		// with), then project.
 		full, err := p.rel.decodeFull(&results[i], schema)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out := make(plan.Row, len(p.required))
 		for j, col := range p.required {
 			out[j] = full[schema.IndexOf(col)]
 		}
-		rows = append(rows, out)
+		if err := batch.AppendRow(out); err != nil {
+			return err
+		}
+		if batch.Len() < batchSize && i < len(results)-1 {
+			continue
+		}
+		if err := yield(batch); err != nil {
+			if errors.Is(err, datasource.ErrStopBatches) {
+				return nil
+			}
+			return err
+		}
+		batch.Reset()
 	}
-	return rows, nil
+	return nil
 }
 
 func (b *BaselineRelation) decodeFull(res *hbase.Result, schema plan.Schema) (plan.Row, error) {

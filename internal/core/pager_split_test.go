@@ -16,26 +16,23 @@ import (
 // rows an undisturbed scan would have produced.
 func TestFusedPagerResumesAcrossSplit(t *testing.T) {
 	rig := newRig(t, Options{NewTableRegions: 1}, 60)
-
-	baseParts, err := rig.rel.BuildScan([]string{"id", "age"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := scanAll(t, baseParts)
-	if len(baseline) != 60 {
-		t.Fatalf("baseline rows = %d", len(baseline))
-	}
-
-	parts, err := rig.rel.BuildScan([]string{"id", "age"}, nil)
+	cols := []string{"id", "age"}
+	parts, err := rig.rel.BuildScan(cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(parts) != 1 {
 		t.Fatalf("partitions = %d, want 1", len(parts))
 	}
+	baseline := rig.wantPartition(t, parts[0], cols, 0)
+	if len(baseline) != 60 {
+		t.Fatalf("baseline rows = %d", len(baseline))
+	}
 	p := parts[0].(*hbasePartition)
 	pager := newFusedPager(p, p.ops, 10)
 	ctx := context.Background()
+	specs, schema, lazyDec := p.rel.vecSpecs(p.required, nil)
+	batch := getBatch(schema, specs, lazyDec)
 
 	var rows []plan.Row
 	var scratch []any
@@ -48,9 +45,24 @@ func TestFusedPagerResumesAcrossSplit(t *testing.T) {
 		if resp == nil {
 			break
 		}
-		rows, scratch, err = p.rel.decodeResults(resp.Results, p.required, rows, scratch)
+		batch.Reset()
+		n := len(resp.Results)
+		if resp.Block != nil {
+			n = resp.Block.Len()
+			err = p.rel.decodeBlock(batch, specs, resp.Block, n, &scratch)
+		} else {
+			err = p.rel.decodeResultsToBatch(batch, specs, resp.Results, &scratch)
+		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		batch.SetLen(n)
+		for i := 0; i < n; i++ {
+			r, err := batch.MaterializeRow(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, r)
 		}
 		if first {
 			first = false
@@ -63,7 +75,6 @@ func TestFusedPagerResumesAcrossSplit(t *testing.T) {
 			}
 		}
 	}
-	_ = scratch
 	if len(rows) != len(baseline) {
 		t.Fatalf("rows across split = %d, want %d", len(rows), len(baseline))
 	}

@@ -573,7 +573,8 @@ func isPoint(r RowRange) bool {
 }
 
 // hbasePartition is one locality-tagged unit of scan work: every Scan and
-// BulkGet bound for one region server, executed in a single fused RPC.
+// BulkGet bound for one region server, executed as one paged fused RPC
+// stream.
 type hbasePartition struct {
 	rel      *HBaseRelation
 	index    int
@@ -589,29 +590,6 @@ func (p *hbasePartition) Index() int { return p.index }
 // which the scheduler matches to an executor (§VI-A.2).
 func (p *hbasePartition) PreferredHost() string { return p.host }
 
-// Compute implements datasource.Partition: fetch and decode this
-// partition's rows in a fused RPC, failing over to reassigned region
-// servers if the host dies mid-query.
-func (p *hbasePartition) Compute(ctx context.Context) ([]plan.Row, error) {
-	ctx = bridgeConsistency(ctx)
-	pager := newFusedPager(p, p.ops, 0)
-	var rows []plan.Row
-	var keyScratch []any
-	for {
-		resp, err := pager.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if resp == nil {
-			return rows, nil
-		}
-		rows, keyScratch, err = p.rel.decodeResults(resp.Results, p.required, rows, keyScratch)
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
 // fusedPager drives a partition's paged fused execution with failover. The
 // partition bakes in the host that served its regions at plan time; when
 // that host dies mid-scan, the pager re-resolves region locations, regroups
@@ -625,7 +603,6 @@ type fusedPager struct {
 	prefix   int            // length of the contiguous same-host run being paged
 	cursor   hbase.FusedCursor
 	batch    int
-	columnar bool // request column-major pages (vectorized decode path)
 	failures int
 	done     bool
 }
@@ -652,13 +629,7 @@ func (g *fusedPager) wrapErr(err error) error {
 func (g *fusedPager) next(ctx context.Context) (*hbase.ScanResponse, error) {
 	client := g.p.rel.client
 	for !g.done {
-		var resp *hbase.ScanResponse
-		var err error
-		if g.columnar {
-			resp, err = client.FusedExecPageColumnar(ctx, g.host, g.ops[:g.prefix], g.batch, g.cursor)
-		} else {
-			resp, err = client.FusedExecPageContext(ctx, g.host, g.ops[:g.prefix], g.batch, g.cursor)
-		}
+		resp, err := client.FusedExecPageColumnar(ctx, g.host, g.ops[:g.prefix], g.batch, g.cursor)
 		if err != nil {
 			if !hbase.IsRetryable(err) {
 				return nil, g.wrapErr(err)
@@ -892,157 +863,3 @@ func remapOp(op hbase.ScanOp, regions []hbase.RegionInfo) []hbase.ScanOp {
 // defaultFusedBatch is the per-page row budget when the caller does not pick
 // one.
 const defaultFusedBatch = 256
-
-// ComputeBatches implements datasource.BatchScan: the partition's fused RPC
-// is paged with a continuation cursor, each page decoded and yielded as one
-// batch. While the caller consumes a page, the next page's RPC is already in
-// flight (double buffering), so decode and network time overlap. A LimitHint
-// shrinks each op's server-side Scan.Limit and stops paging once enough rows
-// streamed — the fused-LIMIT short circuit.
-func (p *hbasePartition) ComputeBatches(ctx context.Context, opts datasource.BatchOptions, yield func([]plan.Row) error) error {
-	ctx = bridgeConsistency(ctx)
-	batchSize := opts.BatchSize
-	if batchSize <= 0 {
-		batchSize = defaultFusedBatch
-	}
-	ops := p.ops
-	if opts.LimitHint > 0 {
-		ops = make([]hbase.ScanOp, len(p.ops))
-		for i, op := range p.ops {
-			if op.Scan != nil && len(op.Rows) == 0 {
-				s := *op.Scan
-				if s.Limit == 0 || s.Limit > opts.LimitHint {
-					s.Limit = opts.LimitHint
-				}
-				op.Scan = &s
-			}
-			ops[i] = op
-		}
-	}
-
-	pager := newFusedPager(p, ops, batchSize)
-	type fusedPage struct {
-		resp *hbase.ScanResponse
-		err  error
-	}
-	fetch := func() chan fusedPage {
-		ch := make(chan fusedPage, 1)
-		go func() {
-			resp, err := pager.next(ctx)
-			ch <- fusedPage{resp: resp, err: err}
-		}()
-		return ch
-	}
-
-	meter := metrics.Scoped(ctx, p.rel.meter)
-	pending := fetch()
-	emitted := 0
-	var batch []plan.Row
-	var keyScratch []any
-	for pending != nil {
-		pg := <-pending
-		pending = nil
-		if pg.err != nil {
-			return pg.err
-		}
-		if pg.resp == nil {
-			break
-		}
-		meter.Inc(metrics.FusedPages)
-		results := pg.resp.Results
-		// Pager state mutates only inside fetch goroutines; the channel
-		// receive above happens-before this launch, so access stays serial.
-		if !pager.done && (opts.LimitHint <= 0 || emitted+len(results) < opts.LimitHint) {
-			// Launch the next page before decoding this one; the buffered
-			// channel keeps the goroutine from leaking if we stop early.
-			pending = fetch()
-			meter.Inc(metrics.PagesPrefetched)
-		}
-		if opts.LimitHint > 0 && emitted+len(results) > opts.LimitHint {
-			results = results[:opts.LimitHint-emitted]
-		}
-		if len(results) == 0 {
-			continue
-		}
-		var err error
-		batch, keyScratch, err = p.rel.decodeResults(results, p.required, batch[:0], keyScratch)
-		if err != nil {
-			return err
-		}
-		emitted += len(batch)
-		if err := yield(batch); err != nil {
-			if errors.Is(err, datasource.ErrStopBatches) {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeResults decodes a page of HBase results into rows appended to dst,
-// amortizing allocations: one values slab backs every row in the batch, and
-// keyScratch is reused across rows for composite-rowkey decoding. It returns
-// the grown dst and scratch. Rows stay valid after dst is reused — they
-// alias the slab, not dst.
-func (r *HBaseRelation) decodeResults(results []hbase.Result, required []string, dst []plan.Row, keyScratch []any) ([]plan.Row, []any, error) {
-	w := len(required)
-	slab := make([]any, len(results)*w)
-	for i := range results {
-		row := plan.Row(slab[i*w : (i+1)*w : (i+1)*w])
-		var err error
-		keyScratch, err = r.decodeResultInto(row, keyScratch, &results[i], required)
-		if err != nil {
-			return nil, keyScratch, err
-		}
-		dst = append(dst, row)
-	}
-	return dst, keyScratch, nil
-}
-
-// decodeResult projects one HBase result onto the required columns.
-func (r *HBaseRelation) decodeResult(res *hbase.Result, required []string) (plan.Row, error) {
-	row := make(plan.Row, len(required))
-	_, err := r.decodeResultInto(row, nil, res, required)
-	if err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
-// decodeResultInto decodes res into row (which must have len(required)),
-// reusing keyScratch for rowkey dimension values; it returns the (possibly
-// grown) scratch. Values are copied out of the scratch, so callers may hand
-// the same scratch to the next row.
-func (r *HBaseRelation) decodeResultInto(row plan.Row, keyScratch []any, res *hbase.Result, required []string) ([]any, error) {
-	keyDecoded := false
-	for i, col := range required {
-		if dim, ok := r.cat.IsRowkeyField(col); ok {
-			if !keyDecoded {
-				vals, err := r.codec.decodeRowkeyInto(keyScratch, res.Row)
-				if err != nil {
-					return keyScratch, err
-				}
-				keyScratch = vals
-				keyDecoded = true
-			}
-			row[i] = keyScratch[dim]
-			continue
-		}
-		spec, err := r.cat.Column(col)
-		if err != nil {
-			return keyScratch, err
-		}
-		raw, ok := res.Value(spec.CF, spec.Col)
-		if !ok {
-			row[i] = nil // SQL NULL for absent cells
-			continue
-		}
-		v, err := r.coder.Decode(raw, r.cat.fieldType(col))
-		if err != nil {
-			return keyScratch, fmt.Errorf("core: decode %s: %w", col, err)
-		}
-		row[i] = v
-	}
-	return keyScratch, nil
-}

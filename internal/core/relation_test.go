@@ -69,16 +69,19 @@ func newRig(t *testing.T, opts Options, n int) *testRig {
 	return rig
 }
 
-// scanAll computes every partition and returns the rows.
+// scanAll streams every partition through the row adapter and returns the
+// rows.
 func scanAll(t *testing.T, parts []datasource.Partition) []plan.Row {
 	t.Helper()
 	var out []plan.Row
 	for _, p := range parts {
-		rows, err := p.Compute(context.Background())
+		err := datasource.StreamPartition(context.Background(), p, datasource.BatchOptions{}, func(rows []plan.Row) error {
+			out = append(out, rows...)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rows...)
 	}
 	return out
 }

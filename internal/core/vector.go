@@ -13,13 +13,13 @@ import (
 	"github.com/shc-go/shc/internal/plan"
 )
 
-// This file is the decode-to-vector path of the HBase relation: fused pages
-// arrive column-major (CellBlock) when the server can pack them, and decode
+// This file is the HBase relation's one read path: fused pages arrive
+// column-major (CellBlock) when the server can pack them, and decode
 // straight into typed vectors. Columns the consumer flags eager decode up
 // front with per-type fast paths; everything else lands as raw bytes in
 // lazy vectors and decodes only for the positions that survive filtering —
-// late materialization over the paged scan RPC, with the same pager,
-// cursor, and failover machinery as the row path.
+// late materialization over the paged scan RPC, with cursor-exact failover
+// from the fused pager.
 
 // vecColSpec is the per-column decode plan for one partition scan.
 type vecColSpec struct {
@@ -71,10 +71,12 @@ func putBatch(b *plan.Batch) {
 	batchPool.Put(b)
 }
 
-// ComputeVectors implements datasource.VectorScan: the same paged fused
-// execution as ComputeBatches — double-buffered prefetch, LimitHint
-// shrinking, cursor-exact failover — but pages are requested column-major
-// and decoded into one reused column batch instead of row slices.
+// ComputeVectors implements datasource.Partition: the partition's fused RPC
+// is paged with a continuation cursor and each page decoded into one reused
+// column batch. While the caller consumes a page, the next page's RPC is
+// already in flight (double buffering), so decode and network time overlap.
+// A LimitHint shrinks each op's server-side Scan.Limit and stops paging once
+// enough rows streamed — the fused-LIMIT short circuit.
 func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.BatchOptions, yield func(*plan.Batch) error) error {
 	ctx = bridgeConsistency(ctx)
 	batchSize := opts.BatchSize
@@ -101,7 +103,6 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 	defer putBatch(batch)
 
 	pager := newFusedPager(p, ops, batchSize)
-	pager.columnar = true
 	type fusedPage struct {
 		resp *hbase.ScanResponse
 		err  error
@@ -136,6 +137,8 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 		}
 		// Pager state mutates only inside fetch goroutines; the channel
 		// receive above happens-before this launch, so access stays serial.
+		// The buffered channel keeps the goroutine from leaking if we stop
+		// early.
 		if !pager.done && (opts.LimitHint <= 0 || emitted+n < opts.LimitHint) {
 			pending = fetch()
 			meter.Inc(metrics.PagesPrefetched)

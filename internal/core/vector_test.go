@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/shc-go/shc/internal/datasource"
@@ -10,32 +12,12 @@ import (
 	"github.com/shc-go/shc/internal/plan"
 )
 
-// collectRowPath drains a partition through the row-batch path.
-func collectRowPath(t *testing.T, p datasource.Partition, opts datasource.BatchOptions) []plan.Row {
-	t.Helper()
-	var out []plan.Row
-	err := datasource.StreamPartition(context.Background(), p, opts, func(rows []plan.Row) error {
-		for _, r := range rows {
-			out = append(out, append(plan.Row{}, r...))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // collectVectorPath drains a partition through ComputeVectors, boxing every
 // batch row back out — the representation the pipeline's output sees.
 func collectVectorPath(t *testing.T, p datasource.Partition, opts datasource.BatchOptions) []plan.Row {
 	t.Helper()
-	vs, ok := p.(datasource.VectorScan)
-	if !ok {
-		t.Fatalf("partition %T does not implement VectorScan", p)
-	}
 	var out []plan.Row
-	err := vs.ComputeVectors(context.Background(), opts, func(b *plan.Batch) error {
+	err := p.ComputeVectors(context.Background(), opts, func(b *plan.Batch) error {
 		for i := 0; i < b.Len(); i++ {
 			r, err := b.MaterializeRow(i)
 			if err != nil {
@@ -51,13 +33,53 @@ func collectVectorPath(t *testing.T, p datasource.Partition, opts datasource.Bat
 	return out
 }
 
+// wantPartition computes, in plain Go over the rig's inserted rows, what
+// partition p streams: each op's key range in op order, keys ascending,
+// capped at limit rows overall (0 = no cap), projected onto cols.
+func (rig *testRig) wantPartition(t *testing.T, p datasource.Partition, cols []string, limit int) []plan.Row {
+	t.Helper()
+	type keyed struct {
+		key []byte
+		row plan.Row
+	}
+	schema := rig.cat.Schema()
+	var sorted []keyed
+	for _, r := range rig.rows {
+		key, err := rig.rel.codec.encodeRowkey(r[:len(rig.cat.RowkeyFields())])
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj := make(plan.Row, len(cols))
+		for j, c := range cols {
+			proj[j] = r[schema.IndexOf(c)]
+		}
+		sorted = append(sorted, keyed{key, proj})
+	}
+	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i].key, sorted[j].key) < 0 })
+	var out []plan.Row
+	for _, op := range p.(*hbasePartition).ops {
+		for _, k := range sorted {
+			if bytes.Compare(k.key, op.Scan.StartRow) >= 0 &&
+				(len(op.Scan.StopRow) == 0 || bytes.Compare(k.key, op.Scan.StopRow) < 0) {
+				out = append(out, k.row)
+			}
+		}
+	}
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
 // TestComputeVectorsMatchesRowPath pins the columnar decode layer: every
 // partition of a fused scan, streamed as column batches — eager, partially
-// lazy, and with a limit hint — materializes byte-identically to the row
-// path, rowkey-backed columns included.
+// lazy, in small pages, and with a limit hint — materializes exactly the
+// rows inserted into its key ranges, in key order, rowkey-backed columns
+// included.
 func TestComputeVectorsMatchesRowPath(t *testing.T) {
 	rig := newRig(t, Options{}, 700)
-	parts, err := rig.rel.BuildScan([]string{"id", "age", "city", "score"}, nil)
+	cols := []string{"id", "age", "city", "score"}
+	parts, err := rig.rel.BuildScan(cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,20 +96,58 @@ func TestComputeVectorsMatchesRowPath(t *testing.T) {
 		{"limit-hint", datasource.BatchOptions{LimitHint: 13}},
 	}
 	for _, v := range optVariants {
-		var rowAll, vecAll []plan.Row
+		var want, got []plan.Row
 		for _, p := range parts {
-			rowAll = append(rowAll, collectRowPath(t, p, v.opts)...)
-			vecAll = append(vecAll, collectVectorPath(t, p, v.opts)...)
+			want = append(want, rig.wantPartition(t, p, cols, v.opts.LimitHint)...)
+			got = append(got, collectVectorPath(t, p, v.opts)...)
 		}
-		if len(rowAll) == 0 {
-			t.Fatalf("%s: row path returned nothing", v.name)
+		if len(want) == 0 {
+			t.Fatalf("%s: reference holds no rows", v.name)
 		}
-		if !reflect.DeepEqual(rowAll, vecAll) {
-			t.Fatalf("%s: vector path differs from row path (%d vs %d rows)", v.name, len(vecAll), len(rowAll))
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: vector path differs from the inserted rows (%d vs %d rows)", v.name, len(got), len(want))
 		}
 	}
 	if rig.meter.Get(metrics.ColumnarPages) == 0 {
 		t.Error("no fused page traveled column-major; the CellBlock path never engaged")
+	}
+}
+
+// TestStreamPartitionRowsSurvivePooledBatchReuse pins the row adapter's
+// ownership contract: rows collected from a multi-page partition stay
+// unchanged after later pages refill the pooled column batch, because each
+// page boxes into its own slab.
+func TestStreamPartitionRowsSurvivePooledBatchReuse(t *testing.T) {
+	rig := newRig(t, Options{}, 200)
+	cols := []string{"id", "age", "city", "score"}
+	parts, err := rig.rel.BuildScan(cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range parts {
+		var kept []plan.Row
+		var snapshots []plan.Row
+		pages := 0
+		err := datasource.StreamPartition(context.Background(), p, datasource.BatchOptions{BatchSize: 5}, func(rows []plan.Row) error {
+			pages++
+			for _, r := range rows {
+				kept = append(kept, r)
+				snapshots = append(snapshots, append(plan.Row{}, r...))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pages < 3 {
+			t.Fatalf("partition %d streamed %d pages; want a multi-page stream", p.Index(), pages)
+		}
+		if !reflect.DeepEqual(kept, snapshots) {
+			t.Fatalf("partition %d: kept rows changed after later pages reused the batch", p.Index())
+		}
+		if want := rig.wantPartition(t, p, cols, 0); !reflect.DeepEqual(kept, want) {
+			t.Fatalf("partition %d: adapter rows differ from the inserted rows (%d vs %d)", p.Index(), len(kept), len(want))
+		}
 	}
 }
 
@@ -134,24 +194,25 @@ func TestVectorBatchPoolReuse(t *testing.T) {
 
 // TestVectorScanFollowsRegionMove pins cursor-exact resume on the columnar
 // pager: draining a server mid-scan (regions move, epochs bump) must not
-// lose, duplicate, or reorder rows relative to an undisturbed row-path scan.
+// lose, duplicate, or reorder rows relative to the rows inserted into each
+// partition's key ranges.
 func TestVectorScanFollowsRegionMove(t *testing.T) {
 	rig := newRig(t, Options{}, 400)
-	parts, err := rig.rel.BuildScan([]string{"id", "age"}, nil)
+	cols := []string{"id", "age"}
+	parts, err := rig.rel.BuildScan(cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[int][]plan.Row)
 	for i, p := range parts {
-		want[i] = collectRowPath(t, p, datasource.BatchOptions{})
+		want[i] = rig.wantPartition(t, p, cols, 0)
 	}
 	// Small pages so the drain lands between pages of an in-flight scan.
 	drained := false
 	for i, p := range parts {
-		vs := p.(datasource.VectorScan)
 		var got []plan.Row
 		pages := 0
-		err := vs.ComputeVectors(context.Background(), datasource.BatchOptions{BatchSize: 32}, func(b *plan.Batch) error {
+		err := p.ComputeVectors(context.Background(), datasource.BatchOptions{BatchSize: 32}, func(b *plan.Batch) error {
 			pages++
 			if pages == 2 && !drained {
 				drained = true

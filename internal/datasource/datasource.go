@@ -3,10 +3,12 @@
 // paper §III-C). The engine hands a relation the columns it needs and the
 // source-level filters it derived; the relation answers with partitions
 // carrying preferred hosts for locality scheduling and declares, through
-// UnhandledFilters, which predicates the engine must still re-apply. SHC's
-// HBase relation and the generic baseline both implement exactly these
-// interfaces — the engine contains no HBase-specific code, mirroring the
-// paper's "least modification in Spark SQL itself".
+// UnhandledFilters, which predicates the engine must still re-apply. A
+// partition has one read method, ComputeVectors, which streams column
+// batches; row-at-a-time operators read it through the StreamPartition
+// adapter. SHC's HBase relation and the generic baseline both implement
+// exactly these interfaces — the engine contains no HBase-specific code,
+// mirroring the paper's "least modification in Spark SQL itself".
 package datasource
 
 import (
@@ -184,14 +186,20 @@ type Partition interface {
 	// PreferredHost names the host holding the data, or "" when any host
 	// will do.
 	PreferredHost() string
-	// Compute materializes the partition's rows in the scan's projected
-	// column order. ctx bounds the read: sources abandon RPCs, retries, and
-	// backoff sleeps as soon as it is done, so a cancelled query releases
-	// its executor slots promptly.
-	Compute(ctx context.Context) ([]plan.Row, error)
+	// ComputeVectors streams the partition as column batches — typed
+	// vectors with null bitmaps — holding the scan's projected columns in
+	// order. yield is called with consecutive batches in row order; if it
+	// returns ErrStopBatches the stream ends and ComputeVectors returns nil,
+	// and any other error aborts the stream and is returned as-is. The batch
+	// (vectors included) is only valid for the duration of the yield call:
+	// sources reuse and re-fill it, so consumers materialize whatever they
+	// keep before returning. ctx bounds the read: sources abandon RPCs,
+	// retries, and backoff sleeps as soon as it is done, so a cancelled
+	// query releases its executor slots promptly.
+	ComputeVectors(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error
 }
 
-// ErrStopBatches is the sentinel a ComputeBatches yield callback returns to
+// ErrStopBatches is the sentinel a ComputeVectors yield callback returns to
 // end the stream early without error — how a fused LIMIT tells the source to
 // stop fetching once enough rows arrived.
 var ErrStopBatches = errors.New("datasource: stop batch stream")
@@ -214,70 +222,30 @@ type BatchOptions struct {
 	EagerColumns []int
 }
 
-// BatchScan is an optional Partition capability: compute the partition's
-// rows as a stream of bounded batches instead of one materialized slice.
-// yield is called with consecutive batches in row order; if it returns
-// ErrStopBatches the stream ends and ComputeBatches returns nil, and any
-// other error aborts the stream and is returned as-is. The batch slice is
-// only valid for the duration of the yield call (sources may reuse its
-// backing array); the rows it holds stay valid, so consumers keep rows by
-// copying them out of the slice, never by retaining the slice itself.
-type BatchScan interface {
-	ComputeBatches(ctx context.Context, opts BatchOptions, yield func([]plan.Row) error) error
-}
-
-// StreamPartition streams p's rows through yield, using the BatchScan fast
-// path when the partition implements it and falling back to a single
-// materialized batch otherwise — the compatibility shim that lets the
-// pipelined executor run over any Partition.
+// StreamPartition is the row adapter over ComputeVectors: it boxes each
+// column batch into rows and yields them, with the same ErrStopBatches
+// contract. One values slab backs every row of a batch, so the rows stay
+// valid after later batches reuse the source's vectors; the slice holding
+// them is reused, so consumers keep rows by copying them out of it.
 func StreamPartition(ctx context.Context, p Partition, opts BatchOptions, yield func([]plan.Row) error) error {
-	if bs, ok := p.(BatchScan); ok {
-		return bs.ComputeBatches(ctx, opts, yield)
-	}
-	rows, err := p.Compute(ctx)
-	if err != nil {
-		return err
-	}
-	if opts.LimitHint > 0 && len(rows) > opts.LimitHint {
-		rows = rows[:opts.LimitHint]
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	if err := yield(rows); err != nil && !errors.Is(err, ErrStopBatches) {
-		return err
-	}
-	return nil
-}
-
-// VectorScan is an optional Partition capability: compute the partition as
-// a stream of column batches — typed vectors with null bitmaps — instead of
-// row slices. The batch holds the scan's projected columns in order, and
-// the same ErrStopBatches/LimitHint contract as BatchScan applies. The
-// batch (vectors included) is only valid for the duration of the yield
-// call: sources reuse and re-fill it, so consumers materialize whatever
-// they keep before returning.
-type VectorScan interface {
-	ComputeVectors(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error
-}
-
-// StreamPartitionVectors streams p's rows as column batches, using the
-// VectorScan fast path when the partition implements it and transposing the
-// row stream into a reused batch otherwise. schema describes the scan's
-// projected columns.
-func StreamPartitionVectors(ctx context.Context, p Partition, schema plan.Schema, opts BatchOptions, yield func(*plan.Batch) error) error {
-	if vs, ok := p.(VectorScan); ok {
-		return vs.ComputeVectors(ctx, opts, yield)
-	}
-	batch := plan.NewBatch(schema)
-	return StreamPartition(ctx, p, opts, func(rows []plan.Row) error {
-		batch.Reset()
-		for _, r := range rows {
-			if err := batch.AppendRow(r); err != nil {
-				return err
+	var rows []plan.Row
+	return p.ComputeVectors(ctx, opts, func(b *plan.Batch) error {
+		n, w := b.Len(), len(b.Cols)
+		slab := make([]any, n*w)
+		rows = rows[:0]
+		for i := 0; i < n; i++ {
+			rows = append(rows, plan.Row(slab[i*w:(i+1)*w:(i+1)*w]))
+		}
+		for j, c := range b.Cols {
+			for i := 0; i < n; i++ {
+				v, err := c.Value(i)
+				if err != nil {
+					return err
+				}
+				slab[i*w+j] = v
 			}
 		}
-		return yield(batch)
+		return yield(rows)
 	})
 }
 

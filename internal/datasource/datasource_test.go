@@ -118,15 +118,17 @@ func TestMemRelationScanProjectionAndFilter(t *testing.T) {
 	}
 	var got []string
 	for _, p := range parts {
-		rs, err := p.Compute(context.Background())
+		err := StreamPartition(context.Background(), p, BatchOptions{}, func(rs []plan.Row) error {
+			for _, r := range rs {
+				if len(r) != 1 {
+					t.Fatalf("projection width = %d", len(r))
+				}
+				got = append(got, r[0].(string))
+			}
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, r := range rs {
-			if len(r) != 1 {
-				t.Fatalf("projection width = %d", len(r))
-			}
-			got = append(got, r[0].(string))
 		}
 	}
 	if len(got) != 3 {
@@ -160,8 +162,12 @@ func TestMemRelationEmptyScan(t *testing.T) {
 	if len(parts) != 1 {
 		t.Errorf("empty relation partitions = %d", len(parts))
 	}
-	rows, err := parts[0].Compute(context.Background())
-	if err != nil || len(rows) != 0 {
-		t.Errorf("empty scan = %v, %v", rows, err)
+	batches := 0
+	err = parts[0].ComputeVectors(context.Background(), BatchOptions{}, func(*plan.Batch) error {
+		batches++
+		return nil
+	})
+	if err != nil || batches != 0 {
+		t.Errorf("empty scan = %d batches, %v", batches, err)
 	}
 }

@@ -118,23 +118,11 @@ func (p *memPartition) Index() int { return p.index }
 // PreferredHost implements Partition; in-memory data has no locality.
 func (p *memPartition) PreferredHost() string { return "" }
 
-// Compute implements Partition.
-func (p *memPartition) Compute(ctx context.Context) ([]plan.Row, error) {
-	var out []plan.Row
-	err := p.ComputeBatches(ctx, BatchOptions{}, func(batch []plan.Row) error {
-		out = append(out, batch...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ComputeBatches implements BatchScan: filter and project row-at-a-time,
-// yielding bounded batches, so the engine's pipeline never holds more than
-// one batch of this partition at once.
-func (p *memPartition) ComputeBatches(ctx context.Context, opts BatchOptions, yield func([]plan.Row) error) error {
+// ComputeVectors implements Partition: filter and project row-at-a-time,
+// transposing the kept rows into one reused column batch, so the engine's
+// pipeline never holds more than one batch of this partition at once. The
+// in-memory source pays no decode cost, so eager vs lazy does not apply.
+func (p *memPartition) ComputeVectors(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -142,16 +130,21 @@ func (p *memPartition) ComputeBatches(ctx context.Context, opts BatchOptions, yi
 	if batchSize <= 0 {
 		batchSize = 256
 	}
-	emitted := 0
-	batch := make([]plan.Row, 0, batchSize)
+	schema := make(plan.Schema, len(p.colIdx))
+	for i, j := range p.colIdx {
+		schema[i] = p.rel.schema[j]
+	}
+	batch := plan.NewBatch(schema)
 	flush := func() error {
-		if len(batch) == 0 {
+		if batch.Len() == 0 {
 			return nil
 		}
 		err := yield(batch)
-		batch = batch[:0]
+		batch.Reset()
 		return err
 	}
+	emitted := 0
+	nr := make(plan.Row, len(p.colIdx))
 	for _, r := range p.rows {
 		keep := true
 		for _, f := range p.filters {
@@ -167,16 +160,17 @@ func (p *memPartition) ComputeBatches(ctx context.Context, opts BatchOptions, yi
 		if !keep {
 			continue
 		}
-		nr := make(plan.Row, len(p.colIdx))
 		for i, j := range p.colIdx {
 			nr[i] = r[j]
 		}
-		batch = append(batch, nr)
+		if err := batch.AppendRow(nr); err != nil {
+			return err
+		}
 		emitted++
 		if opts.LimitHint > 0 && emitted >= opts.LimitHint {
 			break
 		}
-		if len(batch) >= batchSize {
+		if batch.Len() >= batchSize {
 			if err := flush(); err != nil {
 				if errors.Is(err, ErrStopBatches) {
 					return nil
@@ -189,24 +183,4 @@ func (p *memPartition) ComputeBatches(ctx context.Context, opts BatchOptions, yi
 		return err
 	}
 	return nil
-}
-
-// ComputeVectors implements VectorScan by transposing the filtered,
-// projected row stream into one reused column batch — the in-memory source
-// pays no decode cost, so eager vs lazy does not apply here.
-func (p *memPartition) ComputeVectors(ctx context.Context, opts BatchOptions, yield func(*plan.Batch) error) error {
-	schema := make(plan.Schema, len(p.colIdx))
-	for i, j := range p.colIdx {
-		schema[i] = p.rel.schema[j]
-	}
-	batch := plan.NewBatch(schema)
-	return p.ComputeBatches(ctx, opts, func(rows []plan.Row) error {
-		batch.Reset()
-		for _, r := range rows {
-			if err := batch.AppendRow(r); err != nil {
-				return err
-			}
-		}
-		return yield(batch)
-	})
 }

@@ -98,7 +98,7 @@ func (df *DataFrame) run(ctx context.Context, analyze bool) ([]plan.Row, *queryR
 	// the region server's region label).
 	var rows []plan.Row
 	pprof.Do(ectx, pprof.Labels("query_fingerprint", qr.fp), func(ectx context.Context) {
-		rows, err = phys.Execute(sess.execContext(ectx))
+		rows, err = exec.Run(sess.execContext(ectx), phys)
 	})
 	esp.SetError(err)
 	esp.End()

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"github.com/shc-go/shc/internal/datasource"
 	"github.com/shc-go/shc/internal/metrics"
@@ -28,6 +29,33 @@ type Context struct {
 	// (build) side has at most this many rows — neither side shuffles.
 	// 0 disables broadcasting.
 	BroadcastThreshold int
+
+	// held tallies the decoded-row bytes operators keep for the rest of
+	// the query (materialized scan output, pipeline results) so Run can
+	// release them from the memory gauge when the query ends. nil outside
+	// Run.
+	held *atomic.Int64
+}
+
+// Run executes p as one query. Once the result is in hand it belongs to
+// the caller, so every decoded-row byte the operators still hold is
+// released from the memory gauge: engine.memory_held_bytes reads live
+// bytes, not a running total across queries.
+func Run(ctx *Context, p PhysicalPlan) ([]plan.Row, error) {
+	q := *ctx
+	q.held = new(atomic.Int64)
+	rows, err := p.Execute(&q)
+	metrics.Scoped(q.ctx(), q.Meter).Add(metrics.MemoryHeld, -q.held.Load())
+	return rows, err
+}
+
+// hold charges bytes an operator keeps until the query ends to the memory
+// gauge (live and peak) and records them for Run to release.
+func (c *Context) hold(m metrics.Meter, bytes int64) {
+	m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, bytes)
+	if c.held != nil {
+		c.held.Add(bytes)
+	}
 }
 
 // ctx returns the query context, defaulting to context.Background().
@@ -101,20 +129,25 @@ func (s *ScanExec) Execute(ctx *Context) ([]plan.Row, error) {
 		tasks[i] = Task{
 			PreferredHost: p.PreferredHost(),
 			Run: func(tctx context.Context) error {
-				rows, err := p.Compute(tctx)
+				m := metrics.Scoped(tctx, ctx.Meter)
+				var rows []plan.Row
+				err := datasource.StreamPartition(tctx, p, datasource.BatchOptions{}, func(batch []plan.Row) error {
+					var bytes int64
+					for _, r := range batch {
+						bytes += int64(plan.RowSize(r))
+					}
+					m.Add(metrics.MemoryCharged, bytes)
+					// Materialized scans hold every decoded row until the
+					// query finishes; the streamed pipeline releases per
+					// batch, and the (MemoryHeld, MemoryPeak) pair makes that
+					// difference visible.
+					ctx.hold(m, bytes)
+					rows = append(rows, batch...)
+					return nil
+				})
 				if err != nil {
 					return err
 				}
-				var bytes int64
-				for _, r := range rows {
-					bytes += int64(plan.RowSize(r))
-				}
-				m := metrics.Scoped(tctx, ctx.Meter)
-				m.Add(metrics.MemoryCharged, bytes)
-				// Materialized scans hold every decoded row until the query
-				// finishes; the streamed pipeline releases per batch, and the
-				// (MemoryHeld, MemoryPeak) pair makes that difference visible.
-				m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, bytes)
 				results[i] = rows
 				return nil
 			},

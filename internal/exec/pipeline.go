@@ -15,9 +15,9 @@ import (
 // PipelineExec is a fused scan→filter→project→limit chain executed as one
 // streaming operator per partition — the batch-pipeline alternative to the
 // Volcano-style materialize-at-every-operator execution the rest of the
-// physical layer uses. Each partition's rows arrive as bounded batches
-// (datasource.BatchScan) and flow through the residual filter, projection,
-// and limit without the scan output ever being materialized whole; batch
+// physical layer uses. Each partition's rows arrive as bounded column
+// batches and flow through the residual filter, projection, and limit
+// without the scan output ever being materialized whole; batch
 // memory is released as soon as the batch is processed, so peak memory
 // tracks the output plus one in-flight batch instead of the full scan.
 //
@@ -40,13 +40,11 @@ type PipelineExec struct {
 	OutSchema plan.Schema
 	// Limit caps the total output rows; 0 means unlimited.
 	Limit int
-	// BatchSize bounds the rows per streamed batch; 0 lets the source pick.
-	BatchSize int
-	// Vectorize enables the columnar path: partitions exposing
-	// datasource.VectorScan stream typed column batches that the residual
-	// filter and projection — compiled once per query into closures over
-	// vectors — consume with selection vectors. Partitions without the
-	// capability keep the row path.
+	// Vectorize enables the columnar path: the residual filter and
+	// projection — compiled once per query into closures over vectors —
+	// consume each partition's column batches with selection vectors.
+	// Without it (or when the program does not compile) the row-at-a-time
+	// interpreter reads the same batches through datasource.StreamPartition.
 	Vectorize bool
 
 	// Compiled vector program, built lazily on first vectorized partition
@@ -172,13 +170,11 @@ func (p *PipelineExec) Execute(ctx *Context) ([]plan.Row, error) {
 }
 
 // runPartition streams one partition through the fused operators, on the
-// columnar path when both the partition and the compiled program support it.
+// columnar path when vectorization is on and the program compiles.
 func (p *PipelineExec) runPartition(tctx context.Context, ctx *Context, part datasource.Partition, tracker *limitTracker) ([]plan.Row, int, error) {
 	if p.Vectorize {
-		if vs, ok := part.(datasource.VectorScan); ok {
-			if _, _, _, ok := p.vecProgram(); ok {
-				return p.runPartitionVector(tctx, ctx, vs, tracker)
-			}
+		if _, _, _, ok := p.vecProgram(); ok {
+			return p.runPartitionVector(tctx, ctx, part, tracker)
 		}
 	}
 	return p.runPartitionRows(tctx, ctx, part, tracker)
@@ -186,7 +182,7 @@ func (p *PipelineExec) runPartition(tctx context.Context, ctx *Context, part dat
 
 // runPartitionRows is the row-at-a-time interpreter path.
 func (p *PipelineExec) runPartitionRows(tctx context.Context, ctx *Context, part datasource.Partition, tracker *limitTracker) ([]plan.Row, int, error) {
-	opts := datasource.BatchOptions{BatchSize: p.BatchSize}
+	var opts datasource.BatchOptions
 	// The limit only pushes into the source when the source evaluates every
 	// remaining predicate itself; a residual filter means the first N
 	// scanned rows are not necessarily the first N kept rows.
@@ -242,7 +238,7 @@ func (p *PipelineExec) runPartitionRows(tctx context.Context, ctx *Context, part
 			kept++
 		}
 		// The batch is consumed: release its bytes, keep only the output's.
-		m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, keptBytes)
+		ctx.hold(m, keptBytes)
 		m.Add(metrics.MemoryHeld, -batchBytes)
 		if stop || (p.Limit > 0 && kept >= p.Limit) {
 			return datasource.ErrStopBatches

@@ -149,11 +149,13 @@ func scanParts(t *testing.T, parts []datasource.Partition) []plan.Row {
 	t.Helper()
 	var out []plan.Row
 	for _, p := range parts {
-		rows, err := p.Compute(context.Background())
+		err := datasource.StreamPartition(context.Background(), p, datasource.BatchOptions{}, func(rows []plan.Row) error {
+			out = append(out, rows...)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rows...)
 	}
 	return out
 }

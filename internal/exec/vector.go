@@ -10,13 +10,12 @@ import (
 	"github.com/shc-go/shc/internal/plan"
 )
 
-// This file is the columnar half of the fused pipeline: partitions exposing
-// datasource.VectorScan stream typed column batches, the residual predicate
-// and projection run as compiled closures over vectors guided by a
-// selection vector, and rows materialize only at pipeline output (or never,
-// for fused aggregation). Partitions without the capability — and operators
-// without a vectorized form — keep the row path, so the two execute
-// side by side in one plan.
+// This file is the columnar half of the fused pipeline: partitions stream
+// typed column batches, the residual predicate and projection run as
+// compiled closures over vectors guided by a selection vector, and rows
+// materialize only at pipeline output (or never, for fused aggregation).
+// Operators without a vectorized form read the same batches as rows through
+// datasource.StreamPartition, so the two execute side by side in one plan.
 
 // vecProgram compiles the pipeline's residual filter and projection once;
 // the compiled closures are stateless and shared by every partition task.
@@ -74,9 +73,9 @@ func eagerColumns(schema plan.Schema, cond plan.Expr, extra []*plan.ColumnRef) [
 // runPartitionVector streams one partition through the compiled vector
 // program: selection-vector filtering, limit truncation, and per-row
 // materialization of just the surviving positions.
-func (p *PipelineExec) runPartitionVector(tctx context.Context, ctx *Context, vs datasource.VectorScan, tracker *limitTracker) ([]plan.Row, int, error) {
+func (p *PipelineExec) runPartitionVector(tctx context.Context, ctx *Context, part datasource.Partition, tracker *limitTracker) ([]plan.Row, int, error) {
 	filter, proj, eager, _ := p.vecProgram()
-	opts := datasource.BatchOptions{BatchSize: p.BatchSize, EagerColumns: eager}
+	opts := datasource.BatchOptions{EagerColumns: eager}
 	if p.Limit > 0 && p.Cond == nil {
 		opts.LimitHint = p.Limit
 	}
@@ -85,7 +84,7 @@ func (p *PipelineExec) runPartitionVector(tctx context.Context, ctx *Context, vs
 	var out []plan.Row
 	kept := 0
 	m := metrics.Scoped(tctx, ctx.Meter)
-	err := vs.ComputeVectors(tctx, opts, func(b *plan.Batch) error {
+	err := part.ComputeVectors(tctx, opts, func(b *plan.Batch) error {
 		m.Inc(metrics.BatchesStreamed)
 		m.Inc(metrics.VectorBatches)
 		batchBytes := b.MemSize()
@@ -125,7 +124,7 @@ func (p *PipelineExec) runPartitionVector(tctx context.Context, ctx *Context, vs
 		}
 		kept += len(sel)
 		m.Add(metrics.VectorRows, int64(len(sel)))
-		m.AddPeak(metrics.MemoryHeld, metrics.MemoryPeak, keptBytes)
+		ctx.hold(m, keptBytes)
 		m.Add(metrics.MemoryHeld, -batchBytes)
 		if stop {
 			return datasource.ErrStopBatches
@@ -263,8 +262,8 @@ func (a *AggPipelineExec) Execute(ctx *Context) ([]plan.Row, error) {
 			Run: func(tctx context.Context) error {
 				var st []aggState
 				var err error
-				if vs, ok := part.(datasource.VectorScan); ok && a.Pipe.Vectorize && vecOK {
-					st, err = a.runPartitionVector(tctx, ctx, vs, filter, eager)
+				if a.Pipe.Vectorize && vecOK {
+					st, err = a.runPartitionVector(tctx, ctx, part, filter, eager)
 				} else {
 					st, err = a.runPartitionRows(tctx, ctx, part)
 				}
@@ -299,7 +298,7 @@ func (a *AggPipelineExec) Execute(ctx *Context) ([]plan.Row, error) {
 
 // runPartitionVector folds one partition's column batches into partial
 // aggregate states without materializing rows.
-func (a *AggPipelineExec) runPartitionVector(tctx context.Context, ctx *Context, vs datasource.VectorScan, filter *plan.CompiledFilter, eager []int) ([]aggState, error) {
+func (a *AggPipelineExec) runPartitionVector(tctx context.Context, ctx *Context, part datasource.Partition, filter *plan.CompiledFilter, eager []int) ([]aggState, error) {
 	aggs := make([]vecAgg, len(a.Aggs))
 	for k, agg := range a.Aggs {
 		aggs[k] = vecAgg{kind: agg.Kind, col: -1}
@@ -311,8 +310,8 @@ func (a *AggPipelineExec) runPartitionVector(tctx context.Context, ctx *Context,
 	sc := plan.NewEvalScratch(a.Pipe.Scan.OutSchema)
 	var selBuf []int
 	m := metrics.Scoped(tctx, ctx.Meter)
-	opts := datasource.BatchOptions{BatchSize: a.Pipe.BatchSize, EagerColumns: eager}
-	err := vs.ComputeVectors(tctx, opts, func(b *plan.Batch) error {
+	opts := datasource.BatchOptions{EagerColumns: eager}
+	err := part.ComputeVectors(tctx, opts, func(b *plan.Batch) error {
 		m.Inc(metrics.BatchesStreamed)
 		m.Inc(metrics.VectorBatches)
 		sel := plan.FullSel(b.Len(), selBuf)
@@ -342,12 +341,12 @@ func (a *AggPipelineExec) runPartitionVector(tctx context.Context, ctx *Context,
 	return states, nil
 }
 
-// runPartitionRows is the row fallback for partitions without VectorScan:
+// runPartitionRows is the row fallback when the filter does not compile:
 // stream, filter, and update boxed aggregate states row-at-a-time.
 func (a *AggPipelineExec) runPartitionRows(tctx context.Context, ctx *Context, part datasource.Partition) ([]aggState, error) {
 	states := make([]aggState, len(a.Aggs))
 	m := metrics.Scoped(tctx, ctx.Meter)
-	err := datasource.StreamPartition(tctx, part, datasource.BatchOptions{BatchSize: a.Pipe.BatchSize}, func(batch []plan.Row) error {
+	err := datasource.StreamPartition(tctx, part, datasource.BatchOptions{}, func(batch []plan.Row) error {
 		m.Inc(metrics.BatchesStreamed)
 		for _, r := range batch {
 			if a.Pipe.Cond != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/shc-go/shc/internal/metrics"
+	"github.com/shc-go/shc/internal/tpcds"
 )
 
 // bootStreamingPair boots two identical SHC rigs differing only in whether
@@ -104,5 +105,33 @@ func TestStreamedPeakMemoryLower(t *testing.T) {
 	}
 	if s.Delta[metrics.PagesPrefetched] == 0 {
 		t.Error("streamed scan should prefetch fused pages")
+	}
+}
+
+// TestMemoryGaugeReleasedAfterQueries pins engine.memory_held_bytes as a
+// live gauge: every byte a query's operators hold — the materialized scans
+// under q38's joins, the filter pipeline's output — is released when the
+// query ends, so the cluster registry reads 0 between queries while each
+// query's own scoped peak still records what it held.
+func TestMemoryGaugeReleasedAfterQueries(t *testing.T) {
+	rig, err := NewRig(Config{System: SHC, Scale: 1, Servers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Close()
+	queries := []string{tpcds.Q38(), `SELECT ss_item_sk FROM store_sales WHERE ss_quantity > 10`}
+	for round := 1; round <= 2; round++ {
+		for _, q := range queries {
+			res, err := rig.Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Delta[metrics.MemoryPeak] <= 0 {
+				t.Errorf("round %d: query held no decoded rows at its peak: %q", round, q)
+			}
+		}
+		if held := rig.Meter.Get(metrics.MemoryHeld); held != 0 {
+			t.Fatalf("round %d: cluster gauge holds %d bytes after every query ended", round, held)
+		}
 	}
 }

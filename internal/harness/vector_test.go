@@ -2,26 +2,32 @@ package harness
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/shc-go/shc/internal/hbase"
 	"github.com/shc-go/shc/internal/metrics"
 	"github.com/shc-go/shc/internal/rpc"
+	"github.com/shc-go/shc/internal/tpcds"
 )
 
 // vectorQueries exercises the shapes the columnar path accelerates: a fused
-// global aggregation, a residual filter with projection, and a query that
-// falls back to row-at-a-time output ordering via LIMIT.
+// global aggregation, a residual filter with projection, a query that
+// falls back to row-at-a-time output ordering via LIMIT, and q38, whose
+// joins read every table through the materialized scan.
 var vectorQueries = []string{
 	`SELECT count(1), sum(ss_quantity), min(ss_item_sk), max(ss_item_sk) FROM store_sales`,
 	`SELECT ss_item_sk, ss_quantity FROM store_sales WHERE ss_quantity > 10`,
 	`SELECT ss_item_sk FROM store_sales WHERE ss_quantity > 5 LIMIT 40`,
+	tpcds.Q38(),
 }
 
 // TestVectorizedMatchesRowPathEndToEnd runs the same queries through two
 // identically-seeded rigs — one vectorized, one forced onto the row path —
-// and requires byte-identical results, proving the ablation switch toggles
-// only the execution model, never the answer.
+// and requires byte-identical results and, for every query that reads
+// whole partitions, equal RPC and page counts: both rigs read through the
+// one columnar scan protocol, so the ablation switch toggles only the
+// execution model, never the answer or the wire traffic.
 func TestVectorizedMatchesRowPathEndToEnd(t *testing.T) {
 	vecRig, err := NewRig(Config{System: SHC, Scale: 1, Servers: 3})
 	if err != nil {
@@ -52,8 +58,17 @@ func TestVectorizedMatchesRowPathEndToEnd(t *testing.T) {
 		if vec.Delta[metrics.ColumnarPages] == 0 {
 			t.Errorf("%q: vectorized rig moved no column-major pages", q)
 		}
-		if row.Delta[metrics.ColumnarPages] != 0 {
-			t.Errorf("%q: DisableVectorization rig still moved columnar pages", q)
+		if strings.Contains(q, "LIMIT") {
+			// The cross-partition LIMIT short circuit skips or stops
+			// partitions by which tasks finish first, and a stopped
+			// partition's prefetched page may land after the query ends, so
+			// either rig's RPC count varies from run to run.
+			continue
+		}
+		for _, name := range []string{metrics.RPCCalls, metrics.FusedPages} {
+			if vec.Delta[name] != row.Delta[name] {
+				t.Errorf("%q: %s = %d vectorized vs %d row", q, name, vec.Delta[name], row.Delta[name])
+			}
 		}
 	}
 }
