@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
+	"time"
 
+	"github.com/shc-go/shc/internal/datasource"
 	"github.com/shc-go/shc/internal/hbase"
+	"github.com/shc-go/shc/internal/metrics"
 	"github.com/shc-go/shc/internal/plan"
+	"github.com/shc-go/shc/internal/rpc"
 )
 
 // TestFusedPagerResumesAcrossSplit splits the region a paged fused scan is
@@ -46,14 +51,8 @@ func TestFusedPagerResumesAcrossSplit(t *testing.T) {
 			break
 		}
 		batch.Reset()
-		n := len(resp.Results)
-		if resp.Block != nil {
-			n = resp.Block.Len()
-			err = p.rel.decodeBlock(batch, specs, resp.Block, n, &scratch)
-		} else {
-			err = p.rel.decodeResultsToBatch(batch, specs, resp.Results, &scratch)
-		}
-		if err != nil {
+		n := resp.Block.Len()
+		if err := p.rel.decodeBlock(batch, specs, resp.Block, n, &scratch); err != nil {
 			t.Fatal(err)
 		}
 		batch.SetLen(n)
@@ -82,6 +81,35 @@ func TestFusedPagerResumesAcrossSplit(t *testing.T) {
 		if rows[i][0] != baseline[i][0] || rows[i][1] != baseline[i][1] {
 			t.Fatalf("row %d = %v, want %v (order or content drifted)", i, rows[i], baseline[i])
 		}
+	}
+}
+
+// TestFusedScanStopsAtRetryDeadline points a partition scan at a server
+// whose fused pages never succeed. The policy allows 1000 attempts but a
+// 20ms Deadline: the pager must give up once the deadline passes, long
+// before the attempts run out.
+func TestFusedScanStopsAtRetryDeadline(t *testing.T) {
+	rig := newRig(t, Options{NewTableRegions: 1}, 20)
+	client := rig.cluster.NewClient(hbase.WithRetryPolicy(hbase.RetryPolicy{
+		MaxAttempts: 1000, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond,
+		Deadline: 20 * time.Millisecond,
+	}))
+	defer client.Close()
+	rel, err := NewHBaseRelation(client, rig.cat, Options{NewTableRegions: 1}, rig.meter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := rel.BuildScan([]string{"id", "age"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.cluster.Net.SetFaultInjector(rpc.NewFaultInjector(1, &rpc.FaultRule{Method: hbase.MethodFused, Drop: true}))
+	err = parts[0].ComputeVectors(context.Background(), datasource.BatchOptions{}, func(*plan.Batch) error { return nil })
+	if !errors.Is(err, rpc.ErrHostDown) {
+		t.Fatalf("err = %v, want the host-down error once the deadline passed", err)
+	}
+	if got := rig.meter.Get(metrics.ClientRetries); got == 0 || got >= 500 {
+		t.Errorf("client retries = %d, want a few: the 20ms deadline, not the 1000 attempts, must end the scan", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -597,20 +596,23 @@ func (p *hbasePartition) PreferredHost() string { return p.host }
 // run from the continuation cursor — so a query started before a crash
 // finishes with exactly the rows it would have produced without one.
 type fusedPager struct {
-	p        *hbasePartition
-	ops      []hbase.ScanOp // ops not yet fully streamed, in original order
-	host     string         // host serving ops[:prefix]
-	prefix   int            // length of the contiguous same-host run being paged
-	cursor   hbase.FusedCursor
-	batch    int
-	failures int
-	done     bool
+	p      *hbasePartition
+	ops    []hbase.ScanOp // ops not yet fully streamed, in original order
+	host   string         // host serving ops[:prefix]
+	prefix int            // length of the contiguous same-host run being paged
+	cursor hbase.FusedCursor
+	batch  int
+	retry  hbase.Retry // failed pages since the last page arrived
+	done   bool
 }
 
 func newFusedPager(p *hbasePartition, ops []hbase.ScanOp, batch int) *fusedPager {
 	// At plan time every op in the partition lives on p.host, so the first
 	// run is the whole list; runs only fragment after a failover.
-	return &fusedPager{p: p, ops: ops, host: p.host, prefix: len(ops), batch: batch}
+	return &fusedPager{
+		p: p, ops: ops, host: p.host, prefix: len(ops), batch: batch,
+		retry: p.rel.client.NewRetry(p.rel.cat.Table.Name),
+	}
 }
 
 // wrapErr annotates a terminal paging error with where the fused stream
@@ -627,42 +629,29 @@ func (g *fusedPager) wrapErr(err error) error {
 
 // next returns the next page, or (nil, nil) once every op has streamed.
 func (g *fusedPager) next(ctx context.Context) (*hbase.ScanResponse, error) {
-	client := g.p.rel.client
 	for !g.done {
-		resp, err := client.FusedExecPageColumnar(ctx, g.host, g.ops[:g.prefix], g.batch, g.cursor)
+		resp, err := g.p.rel.client.FusedExecPage(ctx, g.host, g.ops[:g.prefix], g.batch, g.cursor)
 		if err != nil {
-			if !hbase.IsRetryable(err) {
-				return nil, g.wrapErr(err)
+			// A server that shed us under load keeps its regions: relocate
+			// is false, the op layout stays, and the page is resent.
+			relocate, stop := g.retry.Step(ctx, err)
+			if stop != nil {
+				return nil, g.wrapErr(stop)
 			}
-			g.failures++
-			if g.failures >= client.RetryPolicy().MaxAttempts {
-				return nil, g.wrapErr(err)
-			}
-			metrics.Scoped(ctx, g.p.rel.meter).Inc(metrics.ClientRetries)
-			if errors.Is(err, hbase.ErrServerBusy) {
-				// The server shed us under load: locations are still right,
-				// so keep the op layout and just back off before resending.
-				if perr := client.RetryPause(ctx, g.failures); perr != nil {
-					return nil, g.wrapErr(perr)
+			if relocate {
+				// Ops before cursor.Op have fully streamed; the cursor's own
+				// op resumes mid-scan via Row/RowIdx/Sent, which survive the
+				// rebase because the server walks ops from Cursor.Op.
+				failed := g.host
+				g.ops = g.ops[g.cursor.Op:]
+				g.cursor.Op = 0
+				if rerr := g.replace(ctx, failed); rerr != nil {
+					return nil, g.wrapErr(rerr)
 				}
-				continue
-			}
-			// Ops before cursor.Op have fully streamed; the cursor's own op
-			// resumes mid-scan via Row/RowIdx/Sent, which survive the rebase
-			// because the server walks ops from Cursor.Op.
-			failed := g.host
-			g.ops = g.ops[g.cursor.Op:]
-			g.cursor.Op = 0
-			client.InvalidateRegions(g.p.rel.cat.Table.Name)
-			if perr := client.RetryPause(ctx, g.failures); perr != nil {
-				return nil, g.wrapErr(perr)
-			}
-			if rerr := g.replace(ctx, failed); rerr != nil {
-				return nil, g.wrapErr(rerr)
 			}
 			continue
 		}
-		g.failures = 0
+		g.retry.Reset()
 		if resp.More {
 			g.cursor = resp.Next
 			return resp, nil

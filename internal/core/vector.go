@@ -14,12 +14,11 @@ import (
 )
 
 // This file is the HBase relation's one read path: fused pages arrive
-// column-major (CellBlock) when the server can pack them, and decode
-// straight into typed vectors. Columns the consumer flags eager decode up
-// front with per-type fast paths; everything else lands as raw bytes in
-// lazy vectors and decodes only for the positions that survive filtering —
-// late materialization over the paged scan RPC, with cursor-exact failover
-// from the fused pager.
+// column-major (CellBlock) and decode straight into typed vectors. Columns
+// the consumer flags eager decode up front with per-type fast paths;
+// everything else lands as raw bytes in lazy vectors and decodes only for
+// the positions that survive filtering — late materialization over the
+// paged scan RPC, with cursor-exact failover from the fused pager.
 
 // vecColSpec is the per-column decode plan for one partition scan.
 type vecColSpec struct {
@@ -130,11 +129,7 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 			break
 		}
 		meter.Inc(metrics.FusedPages)
-		n := len(pg.resp.Results)
-		if pg.resp.Block != nil {
-			n = pg.resp.Block.Len()
-			meter.Inc(metrics.ColumnarPages)
-		}
+		n := pg.resp.Block.Len()
 		// Pager state mutates only inside fetch goroutines; the channel
 		// receive above happens-before this launch, so access stays serial.
 		// The buffered channel keeps the goroutine from leaking if we stop
@@ -150,13 +145,7 @@ func (p *hbasePartition) ComputeVectors(ctx context.Context, opts datasource.Bat
 			continue
 		}
 		batch.Reset()
-		var err error
-		if pg.resp.Block != nil {
-			err = p.rel.decodeBlock(batch, specs, pg.resp.Block, n, &keyScratch)
-		} else {
-			err = p.rel.decodeResultsToBatch(batch, specs, pg.resp.Results[:n], &keyScratch)
-		}
-		if err != nil {
+		if err := p.rel.decodeBlock(batch, specs, pg.resp.Block, n, &keyScratch); err != nil {
 			return err
 		}
 		batch.SetLen(n)
@@ -263,49 +252,6 @@ func (r *HBaseRelation) decodeBlock(batch *plan.Batch, specs []vecColSpec, block
 			continue
 		}
 		if err := r.appendDecoded(vec, vals[:n], s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeResultsToBatch fills batch from a row-major page — the fallback
-// when the server could not pack the page (multi-version rows, empty
-// values).
-func (r *HBaseRelation) decodeResultsToBatch(batch *plan.Batch, specs []vecColSpec, results []hbase.Result, keyScratch *[]any) error {
-	rows := make([][]byte, len(results))
-	for i := range results {
-		rows[i] = results[i].Row
-	}
-	if err := r.decodeKeys(batch, specs, rows, keyScratch); err != nil {
-		return err
-	}
-	var vals [][]byte
-	for j := range specs {
-		s := &specs[j]
-		if s.keyDim >= 0 {
-			continue
-		}
-		vals = vals[:0]
-		for i := range results {
-			raw, ok := results[i].Value(s.cf, s.q)
-			if !ok {
-				raw = nil
-			}
-			vals = append(vals, raw)
-		}
-		vec := batch.Cols[j]
-		if !s.eager {
-			for _, raw := range vals {
-				if raw == nil {
-					vec.AppendNull()
-				} else {
-					vec.AppendRaw(raw)
-				}
-			}
-			continue
-		}
-		if err := r.appendDecoded(vec, vals, s); err != nil {
 			return err
 		}
 	}

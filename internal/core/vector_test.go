@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -108,8 +109,8 @@ func TestComputeVectorsMatchesRowPath(t *testing.T) {
 			t.Fatalf("%s: vector path differs from the inserted rows (%d vs %d rows)", v.name, len(got), len(want))
 		}
 	}
-	if rig.meter.Get(metrics.ColumnarPages) == 0 {
-		t.Error("no fused page traveled column-major; the CellBlock path never engaged")
+	if rig.meter.Get(metrics.FusedPages) == 0 {
+		t.Error("no fused page was read; the CellBlock path never engaged")
 	}
 }
 
@@ -249,5 +250,50 @@ func drainPartitionHost(t *testing.T, rig *testRig) {
 	}
 	if err := rig.cluster.Master.DrainServer(regions[0].Host); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFusedBlockCarriesEmptyStringAndNewestVersion pins what the fused
+// page's one format must carry on a single page: an empty string decodes
+// as the empty string rather than NULL, and a MaxVersions 3 relation over
+// three written versions of a row reads the newest.
+func TestFusedBlockCarriesEmptyStringAndNewestVersion(t *testing.T) {
+	rig := newRig(t, Options{NewTableRegions: 1, MaxVersions: 3}, 0)
+	for i, ts := range []int64{10, 20, 30} {
+		rel, err := NewHBaseRelation(rig.client, rig.cat, Options{WriteTimestamp: ts, MaxVersions: 3, NewTableRegions: 1}, rig.meter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.Insert([]plan.Row{{"k", int32(i), fmt.Sprintf("v%d", i), float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rig.rel.Insert([]plan.Row{{"e", int32(7), "", 1.5}}); err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{"id", "age", "city", "score"}
+	parts, err := rig.rel.BuildScan(cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 1 {
+		t.Fatalf("partitions = %d, want 1", len(parts))
+	}
+	p := parts[0].(*hbasePartition)
+	resp, err := newFusedPager(p, p.ops, defaultFusedBatch).next(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Block == nil || resp.Results != nil || resp.More || resp.Block.Len() != 2 {
+		t.Fatalf("page = %+v, want one CellBlock holding both rows", resp)
+	}
+	before := rig.meter.Get(metrics.FusedPages)
+	got := collectVectorPath(t, p, datasource.BatchOptions{})
+	if pages := rig.meter.Get(metrics.FusedPages) - before; pages != 1 {
+		t.Errorf("fused pages = %d, want 1", pages)
+	}
+	want := []plan.Row{{"e", int32(7), "", 1.5}, {"k", int32(2), "v2", float64(2)}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rows = %#v, want %#v", got, want)
 	}
 }

@@ -55,8 +55,8 @@ func TestVectorizedMatchesRowPathEndToEnd(t *testing.T) {
 		if !reflect.DeepEqual(vec.Rows, row.Rows) {
 			t.Fatalf("%q: vectorized and row results differ (%d vs %d rows)", q, len(vec.Rows), len(row.Rows))
 		}
-		if vec.Delta[metrics.ColumnarPages] == 0 {
-			t.Errorf("%q: vectorized rig moved no column-major pages", q)
+		if vec.Delta[metrics.FusedPages] == 0 {
+			t.Errorf("%q: vectorized rig moved no fused pages", q)
 		}
 		if strings.Contains(q, "LIMIT") {
 			// The cross-partition LIMIT short circuit skips or stops
@@ -131,8 +131,8 @@ func TestVectorizedScanSurvivesServerCrash(t *testing.T) {
 	if inj.Fired() == 0 {
 		t.Fatal("no faults fired; the scenario did not exercise recovery")
 	}
-	if got.Delta[metrics.ColumnarPages] == 0 {
-		t.Error("recovered scan moved no column-major pages; the vector path never engaged")
+	if got.Delta[metrics.FusedPages] == 0 {
+		t.Error("recovered scan moved no fused pages; the vector path never engaged")
 	}
 	if got.Delta[metrics.RegionsReassigned] == 0 {
 		t.Error("crash did not reassign any regions")
@@ -168,7 +168,7 @@ func TestVectorizedScanSurvivesDrain(t *testing.T) {
 	if !reflect.DeepEqual(want.Rows, got.Rows) {
 		t.Fatalf("post-drain vectorized run differs: %d rows vs %d", len(got.Rows), len(want.Rows))
 	}
-	if got.Delta[metrics.ColumnarPages] == 0 {
-		t.Error("post-drain scan moved no column-major pages")
+	if got.Delta[metrics.FusedPages] == 0 {
+		t.Error("post-drain scan moved no fused pages")
 	}
 }

@@ -390,7 +390,7 @@ func (c *Client) callMaster(ctx context.Context, method string, req rpc.Message)
 			return nil, err
 		}
 		meter.Inc(metrics.MasterRediscoveries)
-		if perr := c.RetryPause(ctx, attempt); perr != nil {
+		if perr := c.retryPause(ctx, attempt); perr != nil {
 			return nil, perr
 		}
 	}
@@ -541,60 +541,25 @@ func (c *Client) regionForRow(ctx context.Context, table string, row []byte) (Re
 	return RegionInfo{}, fmt.Errorf("hbase: no region for row %x in table %q", row, table)
 }
 
-// RetryPolicy returns the client's effective (defaulted) retry policy.
-func (c *Client) RetryPolicy() RetryPolicy { return c.retry }
-
-// RetryPause sleeps the policy's jittered backoff before retry attempt n
-// (1-based), stopping early — and returning the context's error — if ctx is
-// done first. Layers that implement their own resume logic on top of the
-// policy — the paged Scanner, SHC's partition failover — share the client's
-// seeded jitter source through it.
-func (c *Client) RetryPause(ctx context.Context, attempt int) error {
-	c.retryMu.Lock()
-	jitter := 0.5 + 0.5*c.retryRng.Float64()
-	c.retryMu.Unlock()
-	return c.retry.pause(ctx, time.Duration(float64(c.retry.backoff(attempt))*jitter))
-}
-
-// withRetry runs op under the client's retry policy. A recoverable failure
-// — the region cache went stale (ErrNotServing after a split, balancer
-// move, or reassignment), the hosting server stopped answering
-// (ErrHostDown/ErrConnClosed during a failover), or the server shed the
-// request under load (ErrServerBusy) — backs off and retries, up to the
-// policy's attempt and deadline caps. Stale-location and dead-host failures
-// additionally invalidate the region cache first; a shed request does not,
-// because the locations are still correct — the server is alive, just
-// saturated. Context errors are never retried: once the caller's deadline
-// passed or it cancelled, further attempts only waste a saturated cluster's
-// capacity. This is the NotServingRegionException dance of the real HBase
-// client, extended to server death and overload.
+// withRetry runs op under the client's retry policy, re-running it after
+// each recoverable failure as Retry.Step classifies it: a stale region
+// cache (ErrNotServing after a split, balancer move, or reassignment), a
+// host that stopped answering, or a server shedding load. op resolves
+// locations itself, so a relocation needs nothing beyond Step's cache
+// invalidation. This is the NotServingRegionException dance of the real
+// HBase client, extended to server death and overload.
 func (c *Client) withRetry(ctx context.Context, table string, op func() error) error {
-	var start time.Time
-	if c.retry.Deadline > 0 {
-		start = time.Now()
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
+	r := c.NewRetry(table)
+	for {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		err = op()
-		if err == nil || !IsRetryable(err) {
-			return err
+		err := op()
+		if err == nil {
+			return nil
 		}
-		if attempt >= c.retry.MaxAttempts {
-			return err
-		}
-		if c.retry.Deadline > 0 && time.Since(start) >= c.retry.Deadline {
-			return err
-		}
-		metrics.Scoped(ctx, c.net.Meter()).Inc(metrics.ClientRetries)
-		trace.SpanFromContext(ctx).Annotate("retry %d: %v", attempt, err)
-		if !errors.Is(err, ErrServerBusy) && !errors.Is(err, ErrMemstoreFull) {
-			c.InvalidateRegions(table)
-		}
-		if perr := c.RetryPause(ctx, attempt); perr != nil {
-			return perr
+		if _, stop := r.Step(ctx, err); stop != nil {
+			return stop
 		}
 	}
 }
@@ -833,47 +798,20 @@ func (c *Client) ScanRegionContext(ctx context.Context, ri RegionInfo, scan *Sca
 	return resp.Results, nil
 }
 
-// FusedExec sends multiple scan/get operations for regions hosted on the
-// same server in a single RPC (operators fusion). The whole fused result
-// comes back in one response; callers that want bounded pages use
-// FusedExecPage.
-func (c *Client) FusedExec(host string, ops []ScanOp) ([]Result, error) {
-	resp, err := c.FusedExecPage(host, ops, 0, FusedCursor{})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// FusedExecPage sends one page of a fused execution: the server returns at
-// most batchLimit rows (0 = everything) starting at cursor, plus — via
-// More/Next on the response — the cursor for the following page. Paging the
-// fused RPC keeps the per-response memory on both sides bounded by the
+// FusedExecPage sends one page of a fused execution: multiple scan/get
+// operations for regions hosted on the same server in a single RPC
+// (operators fusion). The server returns at most batchLimit rows (0 =
+// everything) starting at cursor, packed column-major in resp.Block, plus —
+// via More/Next on the response — the cursor for the following page. Paging
+// the fused RPC keeps the per-response memory on both sides bounded by the
 // batch size instead of the partition's full result set.
-func (c *Client) FusedExecPage(host string, ops []ScanOp, batchLimit int, cursor FusedCursor) (*ScanResponse, error) {
-	return c.FusedExecPageContext(context.Background(), host, ops, batchLimit, cursor)
-}
-
-// FusedExecPageContext is FusedExecPage bounded by ctx.
-func (c *Client) FusedExecPageContext(ctx context.Context, host string, ops []ScanOp, batchLimit int, cursor FusedCursor) (*ScanResponse, error) {
-	return c.fusedExecPage(ctx, host, ops, batchLimit, cursor, false)
-}
-
-// FusedExecPageColumnar is FusedExecPageContext with column-major packing
-// requested: when the page is losslessly packable the rows come back in
-// resp.Block (family/qualifier carried once per column, presence as nils)
-// instead of resp.Results. Paging and cursors are unchanged.
-func (c *Client) FusedExecPageColumnar(ctx context.Context, host string, ops []ScanOp, batchLimit int, cursor FusedCursor) (*ScanResponse, error) {
-	return c.fusedExecPage(ctx, host, ops, batchLimit, cursor, true)
-}
-
-func (c *Client) fusedExecPage(ctx context.Context, host string, ops []ScanOp, batchLimit int, cursor FusedCursor, columnar bool) (*ScanResponse, error) {
+func (c *Client) FusedExecPage(ctx context.Context, host string, ops []ScanOp, batchLimit int, cursor FusedCursor) (*ScanResponse, error) {
 	tok, err := c.token()
 	if err != nil {
 		return nil, err
 	}
 	resp, err := c.callRead(ctx, host, MethodFused, &FusedRequest{
-		Ops: ops, BatchLimit: batchLimit, Cursor: cursor, Columnar: columnar, Token: tok,
+		Ops: ops, BatchLimit: batchLimit, Cursor: cursor, Token: tok,
 	})
 	if err != nil {
 		return nil, err

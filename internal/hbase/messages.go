@@ -145,12 +145,13 @@ func (m *ScanRequest) WireSize() int {
 	return n
 }
 
-// ScanResponse returns the matching rows. For paged fused requests it also
-// carries the continuation state: More reports that the server stopped at
-// the request's BatchLimit with work remaining, and Next is the cursor the
-// client echoes back to resume exactly where this page ended. When the
-// request asked for Columnar and the page is packable, the rows travel in
-// Block instead of Results — same rows, same order, column-major.
+// ScanResponse returns the matching rows. Scan and BulkGet answer in
+// Results, row-major with every version the request asked for. A fused
+// page always answers in Block instead, column-major (an empty page is an
+// empty block), and also carries the continuation state: More reports that
+// the server stopped at the request's BatchLimit with work remaining, and
+// Next is the cursor the client echoes back to resume exactly where this
+// page ended.
 type ScanResponse struct {
 	Results []Result
 	Block   *CellBlock
@@ -185,10 +186,11 @@ func (m *ScanResponse) WireSize() int {
 
 // CellColumn is one column of a columnar page: the family:qualifier pair is
 // carried once for the whole page instead of once per cell, and Values is
-// row-aligned with CellBlock.Rows (nil = the row has no cell in this
-// column). Cell timestamps and types are not carried — the columnar form
-// serves latest-version scan decoding, and the server falls back to
-// row-major Results whenever that would lose information.
+// row-aligned with CellBlock.Rows. A nil value means the row has no cell in
+// this column; an empty stored value travels as a non-nil zero-length
+// slice. Only the newest version of each cell is carried, without its
+// timestamp or type: every consumer of a fused page reads the latest
+// value.
 type CellColumn struct {
 	Family    string
 	Qualifier string
@@ -196,9 +198,9 @@ type CellColumn struct {
 }
 
 // CellBlock is the column-major encoding of one fused page: row keys in
-// scan order plus one row-aligned value array per projected column. Packing
-// happens after the page's rows and continuation cursor are computed, so
-// paging and mid-scan resume behave identically to the row-major form.
+// scan order plus one row-aligned value array per column present on the
+// page. Packing happens after the page's rows and continuation cursor are
+// computed, so it never changes where a page ends or resumes.
 type CellBlock struct {
 	Rows [][]byte
 	Cols []CellColumn
@@ -298,18 +300,12 @@ type FusedRequest struct {
 	Ops        []ScanOp
 	BatchLimit int
 	Cursor     FusedCursor
-	// Columnar asks the server to pack the page column-major (CellBlock)
-	// when lossless; the server silently falls back to Results otherwise.
-	Columnar bool
-	Token    string
+	Token      string
 }
 
 // WireSize implements rpc.Message.
 func (m *FusedRequest) WireSize() int {
 	n := len(m.Token)
-	if m.Columnar {
-		n++
-	}
 	if m.BatchLimit > 0 {
 		n += 4 + m.Cursor.WireSize()
 	}

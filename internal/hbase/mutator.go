@@ -47,7 +47,7 @@ func (c MutatorConfig) withDefaults(cl *Client) MutatorConfig {
 		c.MaxBufferBytes = 4 * c.FlushBytes
 	}
 	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = cl.RetryPolicy().MaxAttempts
+		c.MaxAttempts = cl.retry.MaxAttempts
 	}
 	return c
 }
@@ -265,43 +265,33 @@ func (m *BufferedMutator) send(ctx context.Context, cells []Cell) error {
 	}
 	m.mu.Unlock()
 
-	var lastErr error
-	for attempt := 1; len(pending) > 0; attempt++ {
+	r := m.c.NewRetry(m.table)
+	r.max = m.cfg.MaxAttempts
+	for {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
+		// Every failed batch carries its host's error, so a nil error means
+		// every batch was acked.
 		failed, err := m.sendRound(ctx, tok, pending, meter)
 		if err == nil {
-			if len(failed) == 0 {
-				return nil
-			}
+			return nil
+		}
+		// A round that erred before any RPC went out (e.g. region re-lookup
+		// failed while regrouping) reports no per-batch outcome and leaves
+		// every batch pending. Only a verdict that names failed batches
+		// replaces the pending set — an early error must never masquerade as
+		// "all acked". The next round regroups against fresh locations.
+		if len(failed) > 0 {
 			pending = failed
-		} else {
-			lastErr = err
-			if !IsRetryable(err) {
-				return err
+		}
+		if _, stop := r.Step(ctx, err); stop != nil {
+			if IsRetryable(stop) {
+				return fmt.Errorf("hbase: mutator flush gave up after %d attempts: %w", r.n, stop)
 			}
-			// A round that erred before any RPC went out (e.g. region
-			// re-lookup failed while regrouping) reports no per-batch
-			// outcome and leaves every batch pending. Only a verdict that
-			// names failed batches replaces the pending set — an early
-			// error must never masquerade as "all acked".
-			if len(failed) > 0 {
-				pending = failed
-			}
-		}
-		if attempt >= m.cfg.MaxAttempts {
-			return fmt.Errorf("hbase: mutator flush gave up after %d attempts: %w", attempt, lastErr)
-		}
-		metrics.Scoped(ctx, m.c.net.Meter()).Inc(metrics.ClientRetries)
-		if !errors.Is(lastErr, ErrServerBusy) && !errors.Is(lastErr, ErrMemstoreFull) {
-			m.c.InvalidateRegions(m.table)
-		}
-		if perr := m.c.RetryPause(ctx, attempt); perr != nil {
-			return perr
+			return stop
 		}
 	}
-	return nil
 }
 
 // sendRound performs one delivery attempt: every pending batch is regrouped

@@ -699,11 +699,8 @@ func (rs *RegionServer) handleFused(ctx context.Context, req rpc.Message) (rpc.M
 		return nil, err
 	}
 	// Column-major packing happens strictly after the page's rows and
-	// continuation cursor are final, so paging and mid-scan resume are
-	// byte-identical to the row-major form.
-	if m.Columnar {
-		packColumnar(resp)
-	}
+	// continuation cursor are final, so it never moves a page boundary.
+	packColumnar(resp)
 	return resp, nil
 }
 
@@ -822,32 +819,19 @@ func (rs *RegionServer) fusedPage(ctx context.Context, m *FusedRequest) (*ScanRe
 	return resp, nil
 }
 
-// packColumnar repacks a page's row-major Results into a CellBlock when the
-// transformation is lossless: at most one (latest) version per column per
-// row. Multi-version rows keep the row-major form — the client decodes
-// both.
+// packColumnar repacks a page's row-major Results into its CellBlock. A row
+// holding several versions of a column contributes the newest, which comes
+// first in cell order (family, qualifier, timestamp desc). A present cell
+// always packs a non-nil value, so an empty stored value stays
+// distinguishable from "no cell".
 func packColumnar(resp *ScanResponse) {
 	results := resp.Results
-	if len(results) == 0 {
-		return
-	}
 	type colKey struct{ f, q string }
 	var order []colKey
 	index := make(map[colKey]int)
 	for ri := range results {
-		cells := results[ri].Cells
-		for ci := range cells {
-			c := &cells[ci]
-			// Cells are ordered (family, qualifier, timestamp desc): a
-			// duplicate column means multiple versions — not packable.
-			if ci > 0 && cells[ci-1].Family == c.Family && cells[ci-1].Qualifier == c.Qualifier {
-				return
-			}
-			// A nil entry in the block means "no cell"; an empty stored
-			// value would be indistinguishable, so such pages stay row-major.
-			if len(c.Value) == 0 {
-				return
-			}
+		for ci := range results[ri].Cells {
+			c := &results[ri].Cells[ci]
 			k := colKey{c.Family, c.Qualifier}
 			if _, ok := index[k]; !ok {
 				index[k] = len(order)
@@ -866,7 +850,14 @@ func packColumnar(resp *ScanResponse) {
 		block.Rows[ri] = results[ri].Row
 		for ci := range results[ri].Cells {
 			c := &results[ri].Cells[ci]
-			block.Cols[index[colKey{c.Family, c.Qualifier}]].Values[ri] = c.Value
+			vals := block.Cols[index[colKey{c.Family, c.Qualifier}]].Values
+			if vals[ri] != nil {
+				continue // an older version of a column already packed
+			}
+			vals[ri] = c.Value
+			if vals[ri] == nil {
+				vals[ri] = []byte{}
+			}
 		}
 	}
 	resp.Block = block

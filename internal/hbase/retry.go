@@ -5,16 +5,18 @@ import (
 	"errors"
 	"time"
 
+	"github.com/shc-go/shc/internal/metrics"
 	"github.com/shc-go/shc/internal/rpc"
+	"github.com/shc-go/shc/internal/trace"
 )
 
 // RetryPolicy governs how the client retries operations that fail
 // recoverably: stale region locations (ErrNotServing), unreachable or
 // killed hosts (rpc.ErrHostDown, rpc.ErrConnClosed), and saturated servers
-// shedding load (ErrServerBusy). Each retry first invalidates the relevant
-// meta cache (except for ErrServerBusy — the locations are still right,
-// the server is just overloaded), then backs off exponentially with
-// jitter. The zero value means "use defaults".
+// shedding load (ErrServerBusy, ErrMemstoreFull). Every retrying loop —
+// point operations, buffered-mutator flushes, paged scans and SHC's fused
+// partition scans — applies it through one step, Retry.Step. The zero value
+// means "use defaults".
 type RetryPolicy struct {
 	// MaxAttempts is the total tries per operation, first included
 	// (default 4). Retries stop — and the last error surfaces — once it is
@@ -24,8 +26,9 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 50ms).
 	MaxBackoff time.Duration
-	// Deadline bounds the overall time an operation may spend across
-	// attempts; 0 means attempts alone bound it.
+	// Deadline bounds how long an operation keeps retrying, counted from
+	// its first failed attempt; 0 means attempts alone bound it. A paged
+	// scan counts each page separately: a page that succeeds resets it.
 	Deadline time.Duration
 	// JitterSeed seeds the deterministic jitter RNG (default 1), so a fixed
 	// policy, seed, and failure schedule back off identically across runs.
@@ -93,4 +96,69 @@ func IsRetryable(err error) bool {
 	}
 	return errors.Is(err, ErrNotServing) || errors.Is(err, ErrFenced) || errors.Is(err, ErrServerBusy) ||
 		errors.Is(err, ErrMemstoreFull) || errors.Is(err, ErrNoMaster) || isUnreachable(err)
+}
+
+// Retry carries one operation through the client's retry policy: its
+// failed attempts since the last success and when the first of them
+// failed. Every retrying loop shares its Step, so the classification of a
+// failure is written once.
+type Retry struct {
+	c     *Client
+	table string
+	max   int
+	n     int       // failed attempts since the last success
+	first time.Time // when the first of them failed
+}
+
+// NewRetry starts retry state for an operation on table's regions under
+// the client's policy.
+func (c *Client) NewRetry(table string) Retry {
+	return Retry{c: c, table: table, max: c.retry.MaxAttempts}
+}
+
+// Reset records a successful attempt: the next failure starts a fresh
+// attempt count and deadline.
+func (r *Retry) Reset() { r.n = 0 }
+
+// Step handles err, the failure of the latest attempt. It returns err as
+// stop when the caller must give up: err is not retryable, the attempts
+// are used up, or the policy's Deadline has passed. Otherwise it counts the
+// retry, annotates the caller's span, invalidates the table's cached
+// locations, backs off with the client's seeded jitter, and returns
+// relocate = true: the caller re-resolves locations before its next
+// attempt. A server that only shed load (ErrServerBusy, ErrMemstoreFull)
+// still hosts the region, so its locations stay cached and relocate is
+// false. A backoff cut short by ctx returns ctx's error as stop.
+func (r *Retry) Step(ctx context.Context, err error) (relocate bool, stop error) {
+	if !IsRetryable(err) {
+		return false, err
+	}
+	r.n++
+	if r.n == 1 {
+		r.first = time.Now()
+	}
+	p := &r.c.retry
+	if r.n >= r.max || (p.Deadline > 0 && time.Since(r.first) >= p.Deadline) {
+		return false, err
+	}
+	metrics.Scoped(ctx, r.c.net.Meter()).Inc(metrics.ClientRetries)
+	trace.SpanFromContext(ctx).Annotate("retry %d: %v", r.n, err)
+	relocate = !errors.Is(err, ErrServerBusy) && !errors.Is(err, ErrMemstoreFull)
+	if relocate {
+		r.c.InvalidateRegions(r.table)
+	}
+	if perr := r.c.retryPause(ctx, r.n); perr != nil {
+		return false, perr
+	}
+	return relocate, nil
+}
+
+// retryPause sleeps the policy's jittered backoff before retry attempt n
+// (1-based), stopping early — and returning the context's error — if ctx is
+// done first.
+func (c *Client) retryPause(ctx context.Context, attempt int) error {
+	c.retryMu.Lock()
+	jitter := 0.5 + 0.5*c.retryRng.Float64()
+	c.retryMu.Unlock()
+	return c.retry.pause(ctx, time.Duration(float64(c.retry.backoff(attempt))*jitter))
 }

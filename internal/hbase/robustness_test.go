@@ -59,6 +59,32 @@ func TestDeadlineExceededNotRetried(t *testing.T) {
 	}
 }
 
+// TestScannerStopsAtRetryDeadline points a paged scan at a server whose
+// scans never succeed. The policy allows 1000 attempts but a 20ms Deadline:
+// the scanner must give up once the deadline passes, long before the
+// attempts run out.
+func TestScannerStopsAtRetryDeadline(t *testing.T) {
+	c := bootCluster(t, 1)
+	client := c.NewClient(WithRetryPolicy(RetryPolicy{
+		MaxAttempts: 1000, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond,
+		Deadline: 20 * time.Millisecond,
+	}))
+	defer client.Close()
+	loadRows(t, client, 20)
+	sc, err := client.OpenScanner("t", &Scan{}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Net.SetFaultInjector(rpc.NewFaultInjector(1, &rpc.FaultRule{Method: MethodScan, Drop: true}))
+	_, err = sc.Next()
+	if !errors.Is(err, rpc.ErrHostDown) {
+		t.Fatalf("err = %v, want the host-down error once the deadline passed", err)
+	}
+	if got := c.Meter.Get(metrics.ClientRetries); got == 0 || got >= 500 {
+		t.Errorf("client retries = %d, want a few: the 20ms deadline, not the 1000 attempts, must end the scan", got)
+	}
+}
+
 // TestIsRetryableClassification pins the retry classifier: overload and
 // transport failures are worth another attempt, context errors never are.
 func TestIsRetryableClassification(t *testing.T) {

@@ -3,7 +3,6 @@ package hbase
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/shc-go/shc/internal/metrics"
@@ -28,7 +27,7 @@ type Scanner struct {
 	cursor   []byte // next start row within the current region
 	lastRow  []byte // last row actually returned (for error context)
 	returned int    // rows handed out so far (for spec.Limit page sizing)
-	failures int    // consecutive failed page fetches (for retry capping)
+	retry    Retry  // failed page fetches since the last page arrived
 	done     bool
 	err      error
 
@@ -77,7 +76,7 @@ func (c *Client) OpenScannerContext(ctx context.Context, table string, spec *Sca
 	}
 	s := &Scanner{
 		client: c, ctx: ctx, table: table, spec: *spec, batchSize: cfg.BatchSize,
-		prefetch: cfg.Prefetch, meter: cfg.Meter, regions: regions,
+		prefetch: cfg.Prefetch, meter: cfg.Meter, regions: regions, retry: c.NewRetry(table),
 	}
 	s.cursor = spec.StartRow
 	s.skipToOverlap()
@@ -138,28 +137,21 @@ func (s *Scanner) fetchPage() ([]Result, error) {
 		page.Limit = limit
 		results, err := s.client.ScanRegionContext(s.ctx, ri, &page)
 		if err != nil {
-			if !IsRetryable(err) {
-				return nil, s.wrapErr(err, ri.ID)
-			}
-			s.failures++
-			if s.failures >= s.client.retry.MaxAttempts {
-				return nil, s.wrapErr(err, ri.ID)
-			}
-			metrics.Scoped(s.ctx, s.client.net.Meter()).Inc(metrics.ClientRetries)
 			// A shed request means the server is saturated, not gone: the
-			// region map is still right, so skip the relocate and just back
-			// off before resending the same page.
-			if !errors.Is(err, ErrServerBusy) {
+			// region map is still right, so Step only backs off before the
+			// same page is resent.
+			relocate, stop := s.retry.Step(s.ctx, err)
+			if stop != nil {
+				return nil, s.wrapErr(stop, ri.ID)
+			}
+			if relocate {
 				if rerr := s.relocate(); rerr != nil {
 					return nil, s.wrapErr(rerr, ri.ID)
 				}
 			}
-			if perr := s.client.RetryPause(s.ctx, s.failures); perr != nil {
-				return nil, s.wrapErr(perr, ri.ID)
-			}
 			continue
 		}
-		s.failures = 0
+		s.retry.Reset()
 		if len(results) == 0 {
 			// Region drained: move on.
 			s.region++
@@ -194,13 +186,13 @@ func (s *Scanner) fetchPage() ([]Result, error) {
 	return nil, nil
 }
 
-// relocate refreshes the region list after a failed page fetch and
+// relocate re-resolves the region list after a failed page fetch (the
+// retry step already invalidated the cached one and backed off) and
 // repositions the scanner at the region now containing its cursor. The
 // cursor marks the first row not yet returned, so when the master has
 // reassigned the dead server's regions the next page resumes on the new
 // host with no rows duplicated or dropped.
 func (s *Scanner) relocate() error {
-	s.client.InvalidateRegions(s.table)
 	regions, err := s.client.RegionsContext(s.ctx, s.table)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -180,22 +181,23 @@ func TestFusedExecPageMatchesUnpaged(t *testing.T) {
 	_, client := scannerFixture(t, 90)
 	host := firstHost(t, client, "t")
 	ops := fusedOpsForHost(t, client, "t", host)
-	want, err := client.FusedExec(host, ops)
+	whole, err := client.FusedExecPage(context.Background(), host, ops, 0, FusedCursor{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Result
+	want := whole.Block.Rows
+	var got [][]byte
 	cursor := FusedCursor{}
 	pages := 0
 	for {
-		resp, err := client.FusedExecPage(host, ops, 7, cursor)
+		resp, err := client.FusedExecPage(context.Background(), host, ops, 7, cursor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(resp.Results) > 7 {
-			t.Fatalf("page holds %d rows, batch limit is 7", len(resp.Results))
+		if resp.Block.Len() > 7 {
+			t.Fatalf("page holds %d rows, batch limit is 7", resp.Block.Len())
 		}
-		got = append(got, resp.Results...)
+		got = append(got, resp.Block.Rows...)
 		pages++
 		if !resp.More {
 			break
@@ -206,8 +208,8 @@ func TestFusedExecPageMatchesUnpaged(t *testing.T) {
 		t.Fatalf("paged rows = %d, unpaged = %d", len(got), len(want))
 	}
 	for i := range got {
-		if !bytes.Equal(got[i].Row, want[i].Row) {
-			t.Fatalf("row %d = %q, want %q", i, got[i].Row, want[i].Row)
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("row %d = %q, want %q", i, got[i], want[i])
 		}
 	}
 	if pages < 2 {
@@ -226,14 +228,14 @@ func TestFusedPageHonorsPerOpLimit(t *testing.T) {
 		s.Limit = 12
 		ops[i].Scan = &s
 	}
-	var got []Result
+	var got [][]byte
 	cursor := FusedCursor{}
 	for {
-		resp, err := client.FusedExecPage(host, ops, 5, cursor)
+		resp, err := client.FusedExecPage(context.Background(), host, ops, 5, cursor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, resp.Results...)
+		got = append(got, resp.Block.Rows...)
 		if !resp.More {
 			break
 		}
@@ -267,15 +269,15 @@ func TestFusedPageResumesBulkGets(t *testing.T) {
 		rows = append(rows, []byte(fmt.Sprintf("row-%03d", i)))
 	}
 	ops := []ScanOp{{RegionID: region.ID, Rows: rows}}
-	var got []Result
+	var got [][]byte
 	cursor := FusedCursor{}
 	pages := 0
 	for {
-		resp, err := client.FusedExecPage(host, ops, 3, cursor)
+		resp, err := client.FusedExecPage(context.Background(), host, ops, 3, cursor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, resp.Results...)
+		got = append(got, resp.Block.Rows...)
 		pages++
 		if !resp.More {
 			break
@@ -289,8 +291,51 @@ func TestFusedPageResumesBulkGets(t *testing.T) {
 		t.Errorf("pages = %d, want at least 4 with batch limit 3", pages)
 	}
 	for i := range got {
-		if want := fmt.Sprintf("row-%03d", i); string(got[i].Row) != want {
-			t.Fatalf("row %d = %q, want %q", i, got[i].Row, want)
+		if want := fmt.Sprintf("row-%03d", i); string(got[i]) != want {
+			t.Fatalf("row %d = %q, want %q", i, got[i], want)
 		}
+	}
+}
+
+// TestPackColumnarNewestVersionAndEmptyValue pins the fused page's one
+// format: a row holding several versions of a column packs the newest
+// (first in cell order), a present cell always packs a non-nil value even
+// when the stored value is empty or nil, and a column a row lacks stays
+// nil. A zero-row page is an empty block.
+func TestPackColumnarNewestVersionAndEmptyValue(t *testing.T) {
+	resp := &ScanResponse{Results: []Result{
+		{Row: []byte("a"), Cells: []Cell{
+			{Row: []byte("a"), Family: "cf", Qualifier: "q", Timestamp: 30, Value: []byte("new")},
+			{Row: []byte("a"), Family: "cf", Qualifier: "q", Timestamp: 20, Value: []byte("old")},
+			{Row: []byte("a"), Family: "cf", Qualifier: "r", Timestamp: 10, Value: []byte{}},
+		}},
+		{Row: []byte("b"), Cells: []Cell{
+			{Row: []byte("b"), Family: "cf", Qualifier: "r", Timestamp: 10},
+		}},
+	}}
+	packColumnar(resp)
+	if resp.Results != nil {
+		t.Fatal("packed page still carries row-major Results")
+	}
+	b := resp.Block
+	if b.Len() != 2 || string(b.Rows[0]) != "a" || string(b.Rows[1]) != "b" {
+		t.Fatalf("block rows = %q", b.Rows)
+	}
+	if len(b.Cols) != 2 || b.Cols[0].Qualifier != "q" || b.Cols[1].Qualifier != "r" {
+		t.Fatalf("block columns = %+v", b.Cols)
+	}
+	if q := b.Cols[0].Values; string(q[0]) != "new" || q[1] != nil {
+		t.Errorf("cf:q = %q, want the newest version for a and no cell for b", q)
+	}
+	for i, v := range b.Cols[1].Values {
+		if v == nil || len(v) != 0 {
+			t.Errorf("cf:r row %d = %#v, want a present zero-length value", i, v)
+		}
+	}
+
+	empty := &ScanResponse{}
+	packColumnar(empty)
+	if empty.Block == nil || empty.Block.Len() != 0 || len(empty.Block.Cols) != 0 {
+		t.Errorf("zero-row page = %+v, want an empty block", empty.Block)
 	}
 }

@@ -54,7 +54,6 @@ func Catalog() []CatalogEntry {
 		{BulkLoads, "counter", "Bulk-load operations applied."},
 		{CellsReturned, "counter", "Cells returned from region servers to the client."},
 		{CellsScanned, "counter", "Cells read inside region servers."},
-		{ColumnarPages, "counter", "Columnar scan pages served by region servers."},
 		{Compactions, "counter", "Store-file compactions."},
 		{FusedPages, "counter", "Fused scan→filter→project pages served."},
 		{Heartbeats, "counter", "Master heartbeat probes sent to region servers."},

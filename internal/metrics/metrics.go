@@ -42,7 +42,6 @@ const (
 	RowsShortCircuited  = "exec.rows_short_circuited"
 	VectorBatches       = "exec.vector_batches"
 	VectorRows          = "exec.vector_rows"
-	ColumnarPages       = "hbase.columnar_pages"
 	PagesPrefetched     = "hbase.pages_prefetched"
 	FusedPages          = "hbase.fused_pages"
 	TasksLaunched       = "engine.tasks_launched"
